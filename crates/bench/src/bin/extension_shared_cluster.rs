@@ -7,8 +7,8 @@
 //! delay while stretching every job's wall time.
 
 use pipetune::prelude::*;
-use pipetune::{MultiTenancyOptions, multi_tenancy, multi_tenancy_shared};
 use pipetune_bench::{pct, secs, tuner_options, Report};
+use pipetune_service::{multi_tenancy, MultiTenancyOptions, SchedulingPolicy};
 
 fn main() {
     let mut report = Report::new("extension_shared_cluster");
@@ -21,8 +21,9 @@ fn main() {
     };
 
     let env = ExperimentEnvBuilder::distributed(470).build().expect("valid experiment config");
-    let fifo = multi_tenancy(&env, &specs, &options, &mt).expect("fifo trace runs");
-    let shared = multi_tenancy_shared(&env, &specs, &options, &mt).expect("shared trace runs");
+    let run = |policy| multi_tenancy(&env, &specs, &options, &mt, policy);
+    let fifo = run(SchedulingPolicy::Fifo).expect("fifo trace runs");
+    let shared = run(SchedulingPolicy::ProcessorSharing).expect("shared trace runs");
 
     let mut rows = Vec::new();
     let mut gains = Vec::new();

@@ -3,8 +3,8 @@
 //! and FIFO scheduling.
 
 use pipetune::prelude::*;
-use pipetune::{MultiTenancyOptions, multi_tenancy};
 use pipetune_bench::{pct, secs, tuner_options, Report};
+use pipetune_service::{multi_tenancy, MultiTenancyOptions, SchedulingPolicy};
 
 fn main() {
     let mut report = Report::new("fig13_multitenant");
@@ -20,7 +20,8 @@ fn main() {
     ] {
         let env = ExperimentEnvBuilder::distributed(seed).build().expect("valid experiment config");
         let mt = MultiTenancyOptions { jobs, arrival_rate_per_sec: 1.0 / 4000.0, seed };
-        let outcomes = multi_tenancy(&env, &specs, &options, &mt).expect("trace runs");
+        let outcomes =
+            multi_tenancy(&env, &specs, &options, &mt, SchedulingPolicy::Fifo).expect("trace runs");
         let mut rows = Vec::new();
         for o in &outcomes {
             rows.push(vec![o.approach.to_string(), secs(o.overall_secs)]);

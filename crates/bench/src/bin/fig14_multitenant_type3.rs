@@ -2,8 +2,8 @@
 //! on the single-node testbed, per kernel and all together.
 
 use pipetune::prelude::*;
-use pipetune::{MultiTenancyOptions, multi_tenancy};
 use pipetune_bench::{pct, secs, tuner_options, Report};
+use pipetune_service::{multi_tenancy, MultiTenancyOptions, SchedulingPolicy};
 
 fn main() {
     let mut report = Report::new("fig14_multitenant_type3");
@@ -21,7 +21,8 @@ fn main() {
     for (label, specs, seed) in singles {
         let env = ExperimentEnvBuilder::single_node(seed).build().expect("valid experiment config");
         let mt = MultiTenancyOptions { jobs: jobs_single, arrival_rate_per_sec: 1.0 / 500.0, seed };
-        let outcomes = multi_tenancy(&env, &specs, &options, &mt).expect("trace runs");
+        let outcomes =
+            multi_tenancy(&env, &specs, &options, &mt, SchedulingPolicy::Fifo).expect("trace runs");
         let mut rows = Vec::new();
         for o in &outcomes {
             rows.push(vec![o.approach.to_string(), secs(o.overall_secs)]);

@@ -47,7 +47,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use pipetune_tsdb::TsdbError;
 use rand::rngs::StdRng;
@@ -670,7 +670,7 @@ struct SavedCache {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EpochCacheHandle {
-    inner: Option<Arc<parking_lot::RwLock<EpochCache>>>,
+    inner: Option<Arc<RwLock<EpochCache>>>,
 }
 
 impl EpochCacheHandle {
@@ -693,23 +693,13 @@ impl EpochCacheHandle {
     /// [`EpochCache::new`]).
     pub fn with_config(config: EpochCacheConfig) -> Self {
         EpochCacheHandle {
-            inner: Some(Arc::new(parking_lot::RwLock::new(EpochCache::new(config)))),
+            inner: Some(Arc::new(RwLock::new(EpochCache::new(config)))),
         }
-    }
-
-    /// A live handle over a fresh, empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails [`EpochCacheConfig::validate`].
-    #[deprecated(since = "0.1.0", note = "renamed to `EpochCacheHandle::with_config`")]
-    pub fn new(config: EpochCacheConfig) -> Self {
-        EpochCacheHandle::with_config(config)
     }
 
     /// Wraps an existing store (e.g. one rebuilt by [`EpochCache::load`]).
     pub fn from_cache(cache: EpochCache) -> Self {
-        EpochCacheHandle { inner: Some(Arc::new(parking_lot::RwLock::new(cache))) }
+        EpochCacheHandle { inner: Some(Arc::new(RwLock::new(cache))) }
     }
 
     /// Whether lookups and inserts do anything.
@@ -719,12 +709,12 @@ impl EpochCacheHandle {
 
     /// Behaviour counters; `None` when disabled.
     pub fn stats(&self) -> Option<CacheStats> {
-        self.inner.as_ref().map(|c| c.read().stats())
+        self.inner.as_ref().map(|c| c.read().unwrap_or_else(PoisonError::into_inner).stats())
     }
 
     /// Number of cached prefixes; `None` when disabled.
     pub fn len(&self) -> Option<usize> {
-        self.inner.as_ref().map(|c| c.read().len())
+        self.inner.as_ref().map(|c| c.read().unwrap_or_else(PoisonError::into_inner).len())
     }
 
     /// Returns `true` when disabled or empty.
@@ -734,7 +724,7 @@ impl EpochCacheHandle {
 
     /// Runs a closure against the read-locked store (inspection).
     pub fn with_read<R>(&self, f: impl FnOnce(&EpochCache) -> R) -> Option<R> {
-        self.inner.as_ref().map(|c| f(&c.read()))
+        self.inner.as_ref().map(|c| f(&c.read().unwrap_or_else(PoisonError::into_inner)))
     }
 
     /// Read-only lookup safe to call concurrently from worker threads:
@@ -742,14 +732,15 @@ impl EpochCacheHandle {
     /// `max_epochs`. Hit/miss accounting is deferred to the caller's
     /// [`CacheSession`].
     pub(crate) fn peek(&self, fingerprint: u64, max_epochs: u32) -> Option<CachedPrefix> {
-        self.inner.as_ref()?.read().peek(fingerprint, max_epochs)
+        let cache = self.inner.as_ref()?.read().unwrap_or_else(PoisonError::into_inner);
+        cache.peek(fingerprint, max_epochs)
     }
 
     /// Applies buffered sessions in the order given at simulated time
     /// `clock` (coordinator only; no-op when disabled).
     pub(crate) fn flush(&self, sessions: impl IntoIterator<Item = CacheSession>, clock: f64) {
         if let Some(cache) = self.inner.as_ref() {
-            cache.write().apply(sessions, clock);
+            cache.write().unwrap_or_else(PoisonError::into_inner).apply(sessions, clock);
         }
     }
 
@@ -760,7 +751,7 @@ impl EpochCacheHandle {
     /// Returns [`PipeTuneError::Tsdb`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), PipeTuneError> {
         match self.inner.as_ref() {
-            Some(cache) => cache.read().save(path),
+            Some(cache) => cache.read().unwrap_or_else(PoisonError::into_inner).save(path),
             None => Ok(()),
         }
     }

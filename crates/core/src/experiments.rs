@@ -1,7 +1,7 @@
-//! Experiment drivers: single-tenancy (Figs. 11 & 12, Table 2) and
-//! multi-tenancy (Figs. 13 & 14).
+//! Single-tenancy experiment driver (Figs. 11 & 12, Table 2). The
+//! multi-tenancy driver (Figs. 13 & 14) runs on the service's scheduling
+//! engine: `pipetune_service::multi_tenancy`.
 
-use pipetune_cluster::PoissonArrivals;
 use serde::{Deserialize, Serialize};
 
 use crate::baselines::{TuneV1, TuneV2};
@@ -145,161 +145,6 @@ pub fn single_tenancy(
     Ok(rows)
 }
 
-/// Multi-tenancy trace parameters (§7.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MultiTenancyOptions {
-    /// Number of HPT jobs in the trace.
-    pub jobs: usize,
-    /// Poisson arrival rate, jobs per (simulated) second.
-    pub arrival_rate_per_sec: f64,
-    /// Trace seed.
-    pub seed: u64,
-}
-
-impl Default for MultiTenancyOptions {
-    fn default() -> Self {
-        MultiTenancyOptions { jobs: 8, arrival_rate_per_sec: 1.0 / 3000.0, seed: 7 }
-    }
-}
-
-/// Per-approach response-time summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiTenancyOutcome {
-    /// `TuneV1`, `TuneV2` or `PipeTune`.
-    pub approach: &'static str,
-    /// Mean response time (completion − arrival) per workload, seconds,
-    /// keyed by workload name.
-    pub per_workload_secs: Vec<(String, f64)>,
-    /// Mean response time over all jobs, seconds.
-    pub overall_secs: f64,
-}
-
-/// Runs the multi-tenancy experiment: jobs arrive with exponential
-/// interarrival times and are served FIFO (§5.1); within a job, trials use
-/// the whole cluster. Workloads rotate round-robin over `specs`, so later
-/// jobs repeat families seen earlier — the repetition PipeTune's ground
-/// truth exploits. The first arrival of each family plays the paper's
-/// "unseen job" role (with `specs.len()` families and the default 8-job
-/// trace this is ~25 % unseen, close to the paper's 20 %).
-///
-/// # Errors
-///
-/// Propagates substrate and configuration errors.
-pub fn multi_tenancy(
-    env: &ExperimentEnv,
-    specs: &[WorkloadSpec],
-    options: &TunerOptions,
-    mt: &MultiTenancyOptions,
-) -> Result<Vec<MultiTenancyOutcome>, PipeTuneError> {
-    if specs.is_empty() || mt.jobs == 0 {
-        return Err(PipeTuneError::InvalidConfig {
-            reason: "multi-tenancy needs at least one spec and one job".into(),
-        });
-    }
-    let mut arrivals = PoissonArrivals::new(mt.arrival_rate_per_sec, mt.seed);
-    let schedule: Vec<(f64, WorkloadSpec)> = (0..mt.jobs)
-        .map(|i| (arrivals.next_arrival().as_secs_f64(), specs[i % specs.len()]))
-        .collect();
-
-    let mut results = Vec::new();
-    for approach in ["TuneV1", "TuneV2", "PipeTune"] {
-        let mut v1 = TuneV1::new(*options);
-        let mut v2 = TuneV2::new(*options);
-        // PipeTune starts cold here: the ground truth is built *by the
-        // trace itself* (§7.4 measures exactly this amortisation).
-        let mut pt = PipeTune::new(*options);
-        let mut prev_completion = 0.0f64;
-        let mut per: std::collections::BTreeMap<String, (f64, usize)> = Default::default();
-        let mut total = 0.0f64;
-        for (arrival, spec) in &schedule {
-            let tuning_secs = match approach {
-                "TuneV1" => v1.run(env, spec)?.tuning_secs,
-                "TuneV2" => v2.run(env, spec)?.tuning_secs,
-                _ => pt.run(env, spec)?.tuning_secs,
-            };
-            let start = prev_completion.max(*arrival);
-            let completion = start + tuning_secs;
-            prev_completion = completion;
-            let response = completion - arrival;
-            total += response;
-            let e = per.entry(spec.name().to_string()).or_insert((0.0, 0));
-            e.0 += response;
-            e.1 += 1;
-        }
-        results.push(MultiTenancyOutcome {
-            approach,
-            per_workload_secs: per
-                .into_iter()
-                .map(|(k, (sum, n))| (k, sum / n as f64))
-                .collect(),
-            overall_secs: total / mt.jobs as f64,
-        });
-    }
-    Ok(results)
-}
-
-/// Shared-cluster variant of [`multi_tenancy`]: jobs start on arrival and
-/// processor-share the cluster (Fig. 5's co-location regime) instead of
-/// queueing FIFO. Service times are each approach's dedicated tuning times;
-/// the sharing simulation converts them into overlapped completions.
-///
-/// # Errors
-///
-/// Propagates substrate and configuration errors.
-pub fn multi_tenancy_shared(
-    env: &ExperimentEnv,
-    specs: &[WorkloadSpec],
-    options: &TunerOptions,
-    mt: &MultiTenancyOptions,
-) -> Result<Vec<MultiTenancyOutcome>, PipeTuneError> {
-    if specs.is_empty() || mt.jobs == 0 {
-        return Err(PipeTuneError::InvalidConfig {
-            reason: "multi-tenancy needs at least one spec and one job".into(),
-        });
-    }
-    let mut arrivals = PoissonArrivals::new(mt.arrival_rate_per_sec, mt.seed);
-    let schedule: Vec<(f64, WorkloadSpec)> = (0..mt.jobs)
-        .map(|i| (arrivals.next_arrival().as_secs_f64(), specs[i % specs.len()]))
-        .collect();
-
-    let mut results = Vec::new();
-    for approach in ["TuneV1", "TuneV2", "PipeTune"] {
-        let mut v1 = TuneV1::new(*options);
-        let mut v2 = TuneV2::new(*options);
-        let mut pt = PipeTune::new(*options);
-        let jobs: Vec<crate::SharedJob> = schedule
-            .iter()
-            .map(|(arrival, spec)| {
-                let tuning_secs = match approach {
-                    "TuneV1" => v1.run(env, spec)?.tuning_secs,
-                    "TuneV2" => v2.run(env, spec)?.tuning_secs,
-                    _ => pt.run(env, spec)?.tuning_secs,
-                };
-                Ok(crate::SharedJob { arrival_secs: *arrival, service_secs: tuning_secs })
-            })
-            .collect::<Result<_, PipeTuneError>>()?;
-        let completions = crate::simulate_processor_sharing(&jobs)?;
-        let mut per: std::collections::BTreeMap<String, (f64, usize)> = Default::default();
-        let mut total = 0.0f64;
-        for c in &completions {
-            total += c.response_secs;
-            let name = schedule[c.job].1.name().to_string();
-            let e = per.entry(name).or_insert((0.0, 0));
-            e.0 += c.response_secs;
-            e.1 += 1;
-        }
-        results.push(MultiTenancyOutcome {
-            approach,
-            per_workload_secs: per
-                .into_iter()
-                .map(|(k, (sum, n))| (k, sum / n as f64))
-                .collect(),
-            overall_secs: total / mt.jobs as f64,
-        });
-    }
-    Ok(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,35 +167,5 @@ mod tests {
         let approaches: Vec<&str> = rows.iter().map(|r| r.approach).collect();
         assert_eq!(approaches, vec!["TuneV1", "TuneV2", "PipeTune"]);
         assert!(rows.iter().all(|r| r.tuning_secs > 0.0 && r.accuracy > 0.0));
-    }
-
-    #[test]
-    fn multi_tenancy_reports_all_three_approaches() {
-        let env = ExperimentEnv::distributed(33);
-        let specs = [WorkloadSpec::lenet_mnist()];
-        let mt = MultiTenancyOptions { jobs: 2, arrival_rate_per_sec: 1.0 / 1000.0, seed: 3 };
-        let out = multi_tenancy(&env, &specs, &TunerOptions::fast(), &mt).unwrap();
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|o| o.overall_secs > 0.0));
-        assert!(out.iter().all(|o| o.per_workload_secs.len() == 1));
-    }
-
-    #[test]
-    fn shared_mode_also_reports_and_pipetune_wins() {
-        let env = ExperimentEnv::distributed(35);
-        let specs = [WorkloadSpec::lenet_mnist()];
-        let mt = MultiTenancyOptions { jobs: 3, arrival_rate_per_sec: 1.0 / 500.0, seed: 5 };
-        let out = multi_tenancy_shared(&env, &specs, &TunerOptions::fast(), &mt).unwrap();
-        assert_eq!(out.len(), 3);
-        let v1 = out.iter().find(|o| o.approach == "TuneV1").unwrap().overall_secs;
-        let pt = out.iter().find(|o| o.approach == "PipeTune").unwrap().overall_secs;
-        assert!(pt < v1, "sharing should not erase PipeTune's advantage: {pt} vs {v1}");
-    }
-
-    #[test]
-    fn multi_tenancy_rejects_empty_traces() {
-        let env = ExperimentEnv::distributed(34);
-        let mt = MultiTenancyOptions { jobs: 0, ..Default::default() };
-        assert!(multi_tenancy(&env, &[WorkloadSpec::bfs()], &TunerOptions::fast(), &mt).is_err());
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::{PoisonError, RwLock};
 
 use pipetune_cluster::SystemConfig;
 use pipetune_clustering::{
@@ -383,13 +384,13 @@ enum GtEvent {
 /// which is what makes parallel runs replay-identical to sequential ones.
 #[derive(Debug)]
 pub struct SharedGroundTruth<'a> {
-    inner: parking_lot::RwLock<&'a mut GroundTruth>,
+    inner: RwLock<&'a mut GroundTruth>,
 }
 
 impl<'a> SharedGroundTruth<'a> {
     /// Wraps a ground truth for the duration of a parallel run.
     pub fn new(ground_truth: &'a mut GroundTruth) -> Self {
-        SharedGroundTruth { inner: parking_lot::RwLock::new(ground_truth) }
+        SharedGroundTruth { inner: RwLock::new(ground_truth) }
     }
 
     /// Opens a buffering session for one trial (or one worker's trial slice).
@@ -399,12 +400,12 @@ impl<'a> SharedGroundTruth<'a> {
 
     /// Behaviour counters of the wrapped ground truth.
     pub fn stats(&self) -> GroundTruthStats {
-        self.inner.read().stats()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner).stats()
     }
 
     /// Runs a closure against the shared (read-locked) ground truth.
     pub fn with_read<R>(&self, f: impl FnOnce(&GroundTruth) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Applies the buffered mutations of `sessions`, in the order given
@@ -419,7 +420,7 @@ impl<'a> SharedGroundTruth<'a> {
         I: IntoIterator<Item = GtSession<'s, 'a>>,
         'a: 's,
     {
-        let mut guard = self.inner.write();
+        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let gt: &mut GroundTruth = &mut guard;
         for session in sessions {
             for event in session.events {
@@ -448,7 +449,9 @@ pub struct GtSession<'s, 'a> {
 
 impl GroundTruthAccess for GtSession<'_, '_> {
     fn lookup(&mut self, features: &[f64]) -> Option<SystemConfig> {
-        let found = self.shared.inner.read().peek(features).map(|(cfg, _)| cfg);
+        let gt = self.shared.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let found = gt.peek(features).map(|(cfg, _)| cfg);
+        drop(gt);
         self.events.push(if found.is_some() { GtEvent::Hit } else { GtEvent::Miss });
         found
     }

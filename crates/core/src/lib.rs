@@ -18,8 +18,9 @@
 //! The crate also implements the paper's baselines — [`TuneV1`]
 //! (hyperparameters only, maximise accuracy) and [`TuneV2`] (system
 //! parameters folded into the search space, maximise accuracy/time) — plus
-//! single- and multi-tenancy experiment drivers used by the benchmark
-//! harness to regenerate every figure and table.
+//! the single-tenancy experiment driver used by the benchmark harness. The
+//! multi-tenancy driver lives with the scheduling engine in
+//! `pipetune-service`.
 //!
 //! # Example
 //!
@@ -48,7 +49,6 @@ pub mod observe;
 mod related;
 mod runner;
 mod scheduler_choice;
-mod sharing;
 mod trial;
 mod tuner;
 mod workload;
@@ -61,10 +61,7 @@ pub use cache::{
 pub use env::{ExperimentEnv, ExperimentEnvBuilder};
 pub use error::{Error, InvalidConfig, PipeTuneError};
 pub use pipetune_cluster::{FaultKind, FaultPlan, FaultReport, RetryPolicy};
-pub use experiments::{
-    multi_tenancy, multi_tenancy_shared, single_tenancy, warm_start_ground_truth,
-    MultiTenancyOptions, MultiTenancyOutcome, SingleTenancyRow,
-};
+pub use experiments::{single_tenancy, warm_start_ground_truth, SingleTenancyRow};
 pub use groundtruth::{
     GroundTruth, GroundTruthAccess, GroundTruthStats, GtSession, SharedGroundTruth,
     SimilarityKind,
@@ -74,7 +71,6 @@ pub use objective::{Objective, ProbeGoal};
 pub use related::{related_systems, RelatedSystem};
 pub use runner::{SlotSchedule, TrialOutcome};
 pub use scheduler_choice::SchedulerKind;
-pub use sharing::{simulate_fifo, simulate_processor_sharing, SharedCompletion, SharedJob};
 pub use trial::{EpochPhase, EpochRecord, SystemTuner, TrialCheckpoint, TrialExecution};
 pub use tuner::{ConvergencePoint, PipeTune, TunerOptions, TuningOutcome};
 pub use workload::{

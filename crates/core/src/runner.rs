@@ -17,8 +17,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use pipetune_cluster::{observe as cluster_observe, FaultReport};
 use pipetune_search::{Config, TrialId, TrialRequest, TrialReport, TrialScheduler};
 use pipetune_telemetry::{EventKind, SpanId, SpanKind, COUNT_BUCKETS, RATIO_BUCKETS};
@@ -392,6 +392,9 @@ where
     let mut energy = 0.0f64;
     let mut outcomes = Vec::new();
     let mut best: Option<(f64, TrialId)> = None;
+    // Every surviving report in report order, for re-electing a leader
+    // that a later round abandoned.
+    let mut reported: Vec<(f64, TrialId)> = Vec::new();
     let mut fault_report = FaultReport::default();
     let mut round = 0u64;
     let mut round_guard = 0usize;
@@ -437,34 +440,27 @@ where
             (0..n).map(|_| Mutex::new(None)).collect();
 
         let workers = env.workers.max(1).min(n);
+        let run_item = |i: usize| {
+            let item = items[i].lock().unwrap_or_else(PoisonError::into_inner).take();
+            let item = item.expect("item claimed once");
+            let result = execute_item(env, spec, objective, contention, shared.as_ref(), item);
+            *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        };
         if workers <= 1 {
-            for (item, result) in items.iter().zip(&results) {
-                let item = item.lock().take().expect("item claimed once");
-                *result.lock() =
-                    Some(execute_item(env, spec, objective, contention, shared.as_ref(), item));
-            }
+            (0..n).for_each(run_item);
         } else {
             let cursor = AtomicUsize::new(0);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(|_| loop {
+                    s.spawn(|| loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        let item = items[i].lock().take().expect("item claimed once");
-                        *results[i].lock() = Some(execute_item(
-                            env,
-                            spec,
-                            objective,
-                            contention,
-                            shared.as_ref(),
-                            item,
-                        ));
+                        run_item(i);
                     });
                 }
-            })
-            .expect("executor scope");
+            });
         }
 
         // Merge in request order: first error (if any) in request order,
@@ -475,7 +471,10 @@ where
         let mut sessions: Vec<GtSession<'_, '_>> = Vec::new();
         let mut cache_sessions: Vec<CacheSession> = Vec::new();
         for cell in results {
-            let mut item = cell.into_inner().expect("every item executed")?;
+            let mut item = cell
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every item executed")?;
             durations.push(item.delta_secs);
             energy += item.delta_energy;
             fault_report.merge(&item.faults);
@@ -576,6 +575,7 @@ where
                 if best.as_ref().is_none_or(|(s, _)| *score > *s) {
                     best = Some((*score, *id));
                 }
+                reported.push((*score, *id));
             }
             scheduler.report(TrialReport { id: *id, score: *score, epochs_run: 0 });
         }
@@ -595,6 +595,21 @@ where
         env.monitor.scan(telemetry);
     }
 
+    // Abandoned trials leave `trials`, so a leader abandoned after its
+    // winning report is gone: re-run the election over the reports of
+    // surviving trials. Runs that keep their leader never take this path.
+    if best.is_some_and(|(_, id)| !trials.contains_key(&id)) {
+        best = reported.iter().filter(|(_, id)| trials.contains_key(id)).fold(
+            None,
+            |acc, &(score, id)| {
+                if acc.is_none_or(|(s, _)| score > s) {
+                    Some((score, id))
+                } else {
+                    acc
+                }
+            },
+        );
+    }
     let (_, best_id) = best.ok_or_else(|| {
         if fault_report.abandoned > 0 {
             PipeTuneError::InvalidConfig {

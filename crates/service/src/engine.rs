@@ -7,10 +7,13 @@
 //! shortest-remaining serve a subset at rate 1; processor sharing serves
 //! everyone at `servers/active`, capped at 1). The next event is therefore
 //! always "the in-service job with the least remaining service finishes",
-//! and the drain arithmetic can mirror the analytic models in
-//! `pipetune::sharing` operation for operation — which is what lets the
-//! cross-check tests demand agreement within 1e-9 seconds rather than some
-//! loose simulation tolerance.
+//! and the drain arithmetic can mirror the closed-form FIFO and
+//! processor-sharing models operation for operation — which is what lets
+//! the oracle cross-checks in `tests/service_props.rs` demand agreement
+//! within 1e-9 seconds rather than some loose simulation tolerance.
+//!
+//! The service driver and the [`crate::multi_tenancy`] experiment driver
+//! both run on this engine.
 
 use std::collections::BTreeMap;
 
@@ -330,84 +333,34 @@ impl PolicyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipetune::{simulate_fifo, simulate_processor_sharing, SharedJob};
+
+    /// `(arrival_secs, service_secs)` pairs.
+    type Job = (f64, f64);
 
     /// Feeds an arrival stream through the engine the way the service
     /// driver does: advance to each arrival, insert, drain at the end.
-    fn run(policy: SchedulingPolicy, servers: usize, jobs: &[SharedJob]) -> Vec<Completion> {
+    fn run(policy: SchedulingPolicy, servers: usize, jobs: &[Job]) -> Vec<Completion> {
         let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| {
-            jobs[a]
-                .arrival_secs
-                .partial_cmp(&jobs[b].arrival_secs)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| jobs[a].0.total_cmp(&jobs[b].0).then(a.cmp(&b)));
         let mut engine = PolicyEngine::new(policy, servers);
         let mut done = Vec::new();
         for id in order {
-            done.extend(engine.advance_to(jobs[id].arrival_secs));
-            engine.insert(id, jobs[id].service_secs);
+            done.extend(engine.advance_to(jobs[id].0));
+            engine.insert(id, jobs[id].1);
         }
         done.extend(engine.drain());
         done
     }
 
-    fn stream() -> Vec<SharedJob> {
-        // Micro-aligned arrivals (like PoissonArrivals emits) so the
-        // analytic PS model's SimTime arrival quantisation is a no-op.
-        [(0.0, 13.25), (2.5, 4.0), (2.5, 0.75), (7.125, 9.5), (31.0, 0.0), (40.5, 6.25)]
-            .into_iter()
-            .map(|(arrival_secs, service_secs)| SharedJob { arrival_secs, service_secs })
-            .collect()
-    }
-
-    #[test]
-    fn fifo_engine_matches_the_analytic_queue() {
-        for servers in [1usize, 2, 3] {
-            let jobs = stream();
-            let engine = run(SchedulingPolicy::Fifo, servers, &jobs);
-            let analytic = simulate_fifo(&jobs, servers).unwrap();
-            assert_eq!(engine.len(), analytic.len());
-            for c in &engine {
-                let a = analytic.iter().find(|a| a.job == c.job).unwrap();
-                assert!(
-                    (c.at_secs - a.completion_secs).abs() < 1e-9,
-                    "servers={servers} job={} engine={} analytic={}",
-                    c.job,
-                    c.at_secs,
-                    a.completion_secs
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ps_engine_matches_the_analytic_fluid_model() {
-        let jobs = stream();
-        let engine = run(SchedulingPolicy::ProcessorSharing, 1, &jobs);
-        let analytic = simulate_processor_sharing(&jobs).unwrap();
-        assert_eq!(engine.len(), analytic.len());
-        for c in &engine {
-            let a = analytic.iter().find(|a| a.job == c.job).unwrap();
-            assert!(
-                (c.at_secs - a.completion_secs).abs() < 1e-9,
-                "job={} engine={} analytic={}",
-                c.job,
-                c.at_secs,
-                a.completion_secs
-            );
-        }
+    fn stream() -> Vec<Job> {
+        vec![(0.0, 13.25), (2.5, 4.0), (2.5, 0.75), (7.125, 9.5), (31.0, 0.0), (40.5, 6.25)]
     }
 
     #[test]
     fn fifo_queues_by_insertion_order_not_job_id() {
         // Job 1 arrives first; its larger id must not let job 0 jump the
         // queue (ids are submission indices, not arrival ranks).
-        let jobs = [
-            SharedJob { arrival_secs: 10.0, service_secs: 5.0 },
-            SharedJob { arrival_secs: 0.0, service_secs: 20.0 },
-        ];
+        let jobs = [(10.0, 5.0), (0.0, 20.0)];
         let done = run(SchedulingPolicy::Fifo, 1, &jobs);
         assert_eq!(done[0].job, 1);
         assert!((done[0].at_secs - 20.0).abs() < 1e-12, "{done:?}");
@@ -419,27 +372,21 @@ mod tests {
     #[test]
     fn ps_with_extra_servers_caps_the_rate_at_one() {
         // 2 servers, 2 jobs: everyone runs dedicated, no slowdown.
-        let jobs = [
-            SharedJob { arrival_secs: 0.0, service_secs: 5.0 },
-            SharedJob { arrival_secs: 0.0, service_secs: 8.0 },
-        ];
+        let jobs = [(0.0, 5.0), (0.0, 8.0)];
         let done = run(SchedulingPolicy::ProcessorSharing, 2, &jobs);
         let by_job = |i: usize| done.iter().find(|c| c.job == i).unwrap();
         assert!((by_job(0).at_secs - 5.0).abs() < 1e-12);
         assert!((by_job(1).at_secs - 8.0).abs() < 1e-12);
         // 2 servers, 3 simultaneous equal jobs: rate 2/3, all finish at
         // 6 / (2/3) = 9.
-        let three = [SharedJob { arrival_secs: 0.0, service_secs: 6.0 }; 3];
+        let three = [(0.0, 6.0); 3];
         let done = run(SchedulingPolicy::ProcessorSharing, 2, &three);
         assert!(done.iter().all(|c| (c.at_secs - 9.0).abs() < 1e-12), "{done:?}");
     }
 
     #[test]
     fn shortest_remaining_preempts_and_beats_fifo_on_mean_response() {
-        let jobs = [
-            SharedJob { arrival_secs: 0.0, service_secs: 10.0 },
-            SharedJob { arrival_secs: 4.0, service_secs: 3.0 },
-        ];
+        let jobs = [(0.0, 10.0), (4.0, 3.0)];
         let done = run(SchedulingPolicy::ShortestRemainingService, 1, &jobs);
         let by_job = |i: usize| done.iter().find(|c| c.job == i).unwrap();
         // Job 1 preempts at t=4 (3 < 6 remaining), finishes at 7; job 0
@@ -447,8 +394,8 @@ mod tests {
         assert!((by_job(1).at_secs - 7.0).abs() < 1e-12, "{done:?}");
         assert!((by_job(0).at_secs - 13.0).abs() < 1e-12, "{done:?}");
 
-        let mean = |cs: &[Completion], js: &[SharedJob]| {
-            cs.iter().map(|c| c.at_secs - js[c.job].arrival_secs).sum::<f64>() / cs.len() as f64
+        let mean = |cs: &[Completion], js: &[Job]| {
+            cs.iter().map(|c| c.at_secs - js[c.job].0).sum::<f64>() / cs.len() as f64
         };
         let fifo = run(SchedulingPolicy::Fifo, 1, &jobs);
         assert!(mean(&done, &jobs) < mean(&fifo, &jobs));
@@ -470,11 +417,7 @@ mod tests {
 
     #[test]
     fn starts_record_queueing_and_zero_service_jobs_finish_instantly() {
-        let jobs = [
-            SharedJob { arrival_secs: 0.0, service_secs: 10.0 },
-            SharedJob { arrival_secs: 4.0, service_secs: 3.0 },
-            SharedJob { arrival_secs: 5.0, service_secs: 0.0 },
-        ];
+        let jobs = [(0.0, 10.0), (4.0, 3.0), (5.0, 0.0)];
         let done = run(SchedulingPolicy::Fifo, 1, &jobs);
         let by_job = |i: usize| done.iter().find(|c| c.job == i).unwrap();
         assert_eq!(by_job(0).start_secs, 0.0);
@@ -565,14 +508,11 @@ mod tests {
 
     #[test]
     fn removing_a_job_keeps_peer_arithmetic_exact() {
-        let jobs = [
-            SharedJob { arrival_secs: 0.0, service_secs: 13.25 },
-            SharedJob { arrival_secs: 0.0, service_secs: 4.0 },
-        ];
+        let jobs = [(0.0, 13.25), (0.0, 4.0)];
         // Reference: job 0 alone takes exactly its service time.
         let mut engine = PolicyEngine::new(SchedulingPolicy::Fifo, 2);
-        engine.insert(0, jobs[0].service_secs);
-        engine.insert(1, jobs[1].service_secs);
+        engine.insert(0, jobs[0].1);
+        engine.insert(1, jobs[1].1);
         engine.advance_to(2.0);
         engine.remove(1).unwrap();
         let done = engine.drain();

@@ -20,11 +20,16 @@
 //! [`JobOutcome`]s. See the `service` module docs and `docs/faults.md`
 //! §"Service-level faults".
 //!
+//! [`PolicyEngine`] is the workspace's one multi-tenancy engine. Besides
+//! the service it drives [`multi_tenancy`], the paper's §7.4 experiment
+//! (Figs. 13 & 14): a Poisson trace of dedicated tuning runs per approach,
+//! queued or shared under a [`SchedulingPolicy`].
+//!
 //! Two cross-checks pin the scheduler's arithmetic:
 //!
-//! - the FIFO and processor-sharing policies reproduce the analytic
-//!   `pipetune::simulate_fifo` / `pipetune::simulate_processor_sharing`
-//!   completion times within 1e-9 seconds for identical job streams, and
+//! - the FIFO and processor-sharing policies reproduce closed-form
+//!   queueing models, kept as test oracles in `tests/service_props.rs`,
+//!   within 1e-9 seconds for identical job streams, and
 //! - all outputs (job outcomes, fault reports, telemetry traces, the
 //!   [`ServiceOutcome`] itself) are byte-identical across
 //!   `ExperimentEnv::workers` counts, clean or under fault injection —
@@ -56,11 +61,13 @@
 
 mod engine;
 mod job;
+mod multitenancy;
 pub mod observe;
 mod policy;
 mod service;
 
 pub use engine::{Completion, EngineEvent, PolicyEngine, Removed, Trip};
 pub use job::{JobOutcome, JobRecord, JobSubmission};
+pub use multitenancy::{multi_tenancy, MultiTenancyOptions, MultiTenancyOutcome};
 pub use policy::{AdmissionControl, SchedulingPolicy};
 pub use service::{job_seed, ServiceConfig, ServiceOutcome, SlotSample, TuningService};

@@ -9,13 +9,11 @@
 pub enum SchedulingPolicy {
     /// First-in-first-out over `servers` dedicated partitions: jobs start
     /// in arrival order as partitions free up and then run dedicated. With
-    /// one server this is the paper's §5.1 regime and reproduces
-    /// `pipetune::simulate_fifo` exactly.
+    /// one server this is the paper's §5.1 regime (Figs. 13 & 14).
     Fifo,
     /// Egalitarian processor sharing: every admitted job is always
     /// running, each at rate `servers / active` (capped at 1). With one
-    /// server this is Fig. 5's co-location regime and reproduces
-    /// `pipetune::simulate_processor_sharing` exactly.
+    /// server this is Fig. 5's co-location regime.
     ProcessorSharing,
     /// Preemptive shortest-remaining-service: the `servers` jobs with the
     /// least service left run at rate 1; a shorter newcomer preempts.

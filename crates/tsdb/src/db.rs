@@ -1,8 +1,7 @@
 //! The thread-safe store.
 
 use std::path::Path;
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use crate::{Aggregate, Point, Query, TsdbError};
 
@@ -33,7 +32,7 @@ impl Database {
                 reason: "measurement and at least one field are required".into(),
             });
         }
-        self.points.write().push(point);
+        self.points.write().unwrap_or_else(PoisonError::into_inner).push(point);
         Ok(())
     }
 
@@ -57,7 +56,8 @@ impl Database {
     /// Currently infallible; the `Result` reserves room for storage-backend
     /// errors.
     pub fn query(&self, query: &Query) -> Result<Vec<Point>, TsdbError> {
-        Ok(self.points.read().iter().filter(|p| query.matches(p)).cloned().collect())
+        let points = self.points.read().unwrap_or_else(PoisonError::into_inner);
+        Ok(points.iter().filter(|p| query.matches(p)).cloned().collect())
     }
 
     /// Aggregates `field` over the points matching `query`.
@@ -77,6 +77,7 @@ impl Database {
         let values: Vec<f64> = self
             .points
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .filter(|p| query.matches(p))
             .filter_map(|p| p.field_value(field))
@@ -105,7 +106,8 @@ impl Database {
             });
         }
         let mut buckets: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
-        for p in self.points.read().iter().filter(|p| query.matches(p)) {
+        let points = self.points.read().unwrap_or_else(PoisonError::into_inner);
+        for p in points.iter().filter(|p| query.matches(p)) {
             if let Some(v) = p.field_value(field) {
                 let start = p.timestamp_us() / window_us * window_us;
                 buckets.entry(start).or_default().push(v);
@@ -121,6 +123,7 @@ impl Database {
     pub fn to_line_protocol(&self) -> String {
         self.points
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(crate::Point::to_line_protocol)
             .collect::<Vec<_>>()
@@ -149,18 +152,18 @@ impl Database {
 
     /// Total number of stored points.
     pub fn len(&self) -> usize {
-        self.points.read().len()
+        self.points.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Returns `true` when no points are stored.
     pub fn is_empty(&self) -> bool {
-        self.points.read().is_empty()
+        self.points.read().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 
     /// Deletes points with `timestamp < before_us` (retention policy).
     /// Returns the number deleted.
     pub fn retain_from(&self, before_us: u64) -> usize {
-        let mut guard = self.points.write();
+        let mut guard = self.points.write().unwrap_or_else(PoisonError::into_inner);
         let before = guard.len();
         guard.retain(|p| p.timestamp_us() >= before_us);
         before - guard.len()
@@ -177,7 +180,7 @@ impl Database {
     ///
     /// Returns [`TsdbError::Io`] on filesystem failures.
     pub fn save(&self, path: &Path) -> Result<(), TsdbError> {
-        let guard = self.points.read();
+        let guard = self.points.read().unwrap_or_else(PoisonError::into_inner);
         let json = serde_json::to_string(&*guard)
             .map_err(|e| TsdbError::Corrupt { reason: e.to_string() })?;
         drop(guard);

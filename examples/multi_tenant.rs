@@ -7,7 +7,7 @@
 //! ```
 
 use pipetune::prelude::*;
-use pipetune::{MultiTenancyOptions, multi_tenancy};
+use pipetune_service::{multi_tenancy, MultiTenancyOptions, SchedulingPolicy};
 
 fn main() -> Result<(), pipetune::PipeTuneError> {
     let env = ExperimentEnvBuilder::distributed(31).build()?;
@@ -16,7 +16,7 @@ fn main() -> Result<(), pipetune::PipeTuneError> {
     let mt = MultiTenancyOptions { jobs: 4, arrival_rate_per_sec: 1.0 / 2000.0, seed: 31 };
 
     println!("running a {}-job Poisson trace under three tuners...\n", mt.jobs);
-    let outcomes = multi_tenancy(&env, &specs, &options, &mt)?;
+    let outcomes = multi_tenancy(&env, &specs, &options, &mt, SchedulingPolicy::Fifo)?;
 
     println!("{:<10} {:>22}", "approach", "avg response time [s]");
     for o in &outcomes {

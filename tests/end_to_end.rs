@@ -2,9 +2,10 @@
 //! the full PipeTune pipeline on the simulated cluster.
 
 use pipetune::{
-    multi_tenancy, single_tenancy, warm_start_ground_truth, ExperimentEnv, GroundTruth,
-    MultiTenancyOptions, PipeTune, TuneV1, TuneV2, TunerOptions, WorkloadSpec,
+    single_tenancy, warm_start_ground_truth, ExperimentEnv, GroundTruth, PipeTune, TuneV1, TuneV2,
+    TunerOptions, WorkloadSpec,
 };
+use pipetune_service::{multi_tenancy, MultiTenancyOptions, SchedulingPolicy};
 
 fn options() -> TunerOptions {
     TunerOptions::fast()
@@ -99,7 +100,8 @@ fn multi_tenancy_responses_exceed_service_times_and_pipetune_wins() {
     let env = ExperimentEnv::distributed(1006);
     let specs = [WorkloadSpec::lenet_mnist()];
     let mt = MultiTenancyOptions { jobs: 3, arrival_rate_per_sec: 1.0 / 100.0, seed: 6 };
-    let outcomes = multi_tenancy(&env, &specs, &options(), &mt).expect("trace runs");
+    let outcomes =
+        multi_tenancy(&env, &specs, &options(), &mt, SchedulingPolicy::Fifo).expect("trace runs");
     let v1 = outcomes.iter().find(|o| o.approach == "TuneV1").expect("v1 present");
     let pt = outcomes.iter().find(|o| o.approach == "PipeTune").expect("pipetune present");
     // With arrivals every ~100s and jobs lasting thousands of seconds, queueing

@@ -4,7 +4,7 @@
 
 use pipetune::{
     ExperimentEnv, FaultPlan, GroundTruth, HyperParams, PipeTune, PipeTuneError, ProbeGoal,
-    SystemTuner, TrialExecution, TuneV2, TunerOptions, WorkloadSpec,
+    RetryPolicy, SystemTuner, TrialExecution, TuneV2, TunerOptions, WorkloadSpec,
 };
 use pipetune_search::{HyperBand, ParamSpec, SearchSpace, TrialReport, TrialScheduler};
 use rand::rngs::StdRng;
@@ -146,6 +146,29 @@ fn scheduler_terminates_when_every_trial_is_abandoned() {
         .run(&env, &WorkloadSpec::lenet_mnist())
         .expect_err("no trial can survive a certain crash");
     assert!(err.to_string().contains("abandoned"), "got: {err}");
+}
+
+#[test]
+fn abandoning_the_leader_falls_back_to_the_best_surviving_trial() {
+    // Under this plan the trial leading after an early round is abandoned
+    // in a later one. The run must re-elect a surviving trial instead of
+    // panicking on the vanished leader, and do so deterministically.
+    let run = |workers: usize| {
+        let env = ExperimentEnv::distributed(1)
+            .with_workers(workers)
+            .with_fault_plan(FaultPlan::crashes(101, 0.15))
+            .with_retry(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() });
+        PipeTune::new(TunerOptions::fast())
+            .run(&env, &WorkloadSpec::jacobi())
+            .expect("a surviving trial takes over the lead")
+    };
+    let out = run(1);
+    assert!(out.fault_report.abandoned > 0, "the plan must abandon trials");
+    assert!(out.best_accuracy.is_finite());
+    let parallel = run(4);
+    assert_eq!(parallel.best_trial_id, out.best_trial_id);
+    assert_eq!(parallel.best_accuracy.to_bits(), out.best_accuracy.to_bits());
+    assert_eq!(parallel.tuning_secs.to_bits(), out.tuning_secs.to_bits());
 }
 
 #[test]

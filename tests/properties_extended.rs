@@ -1,10 +1,10 @@
 //! Second property-test suite: clustering density invariants, wire-format
-//! round-trips, the processor-sharing fluid model, simulated time, arrivals
-//! and the dropout/conv layers' stochastic contracts.
+//! round-trips, the processor-sharing scheduling engine, simulated time,
+//! arrivals and the dropout/conv layers' stochastic contracts.
 
-use pipetune::{simulate_processor_sharing, SharedJob};
 use pipetune_cluster::{PoissonArrivals, SimTime};
 use pipetune_clustering::{Dbscan, DbscanLabel};
+use pipetune_service::{PolicyEngine, SchedulingPolicy};
 use pipetune_tsdb::Point;
 use proptest::prelude::*;
 
@@ -77,24 +77,29 @@ proptest! {
         arrivals in proptest::collection::vec(0.0..1000.0f64, 1..12),
         services in proptest::collection::vec(1.0..500.0f64, 12),
     ) {
-        let jobs: Vec<SharedJob> = arrivals
-            .iter()
-            .zip(&services)
-            .map(|(&a, &s)| SharedJob { arrival_secs: a, service_secs: s })
-            .collect();
-        let done = simulate_processor_sharing(&jobs).unwrap();
-        prop_assert_eq!(done.len(), jobs.len());
+        // Feed the jobs to a one-server processor-sharing engine in arrival
+        // order (ties by index), the way the service driver does.
+        let mut order: Vec<usize> = (0..arrivals.len()).collect();
+        order.sort_by(|&a, &b| arrivals[a].total_cmp(&arrivals[b]).then(a.cmp(&b)));
+        let mut engine = PolicyEngine::new(SchedulingPolicy::ProcessorSharing, 1);
+        let mut done = Vec::new();
+        for id in order {
+            done.extend(engine.advance_to(arrivals[id]));
+            engine.insert(id, services[id]);
+        }
+        done.extend(engine.drain());
+        prop_assert_eq!(done.len(), arrivals.len());
         // Response at least the dedicated service time; completion ordering
         // is non-decreasing; total busy time conserved.
         let mut total_service = 0.0;
         for c in &done {
-            prop_assert!(c.response_secs >= jobs[c.job].service_secs - 1e-6);
-            total_service += jobs[c.job].service_secs;
+            prop_assert!(c.at_secs - arrivals[c.job] >= services[c.job] - 1e-6);
+            total_service += services[c.job];
         }
-        prop_assert!(done.windows(2).all(|w| w[0].completion_secs <= w[1].completion_secs + 1e-9));
-        let span_end = done.iter().map(|c| c.completion_secs).fold(0.0, f64::max);
+        prop_assert!(done.windows(2).all(|w| w[0].at_secs <= w[1].at_secs + 1e-9));
+        let span_end = done.iter().map(|c| c.at_secs).fold(0.0, f64::max);
         let first_arrival = arrivals.iter().copied().fold(f64::INFINITY, f64::min);
-        prop_assert!(span_end >= first_arrival + total_service / jobs.len() as f64 - 1e-6);
+        prop_assert!(span_end >= first_arrival + total_service / arrivals.len() as f64 - 1e-6);
         prop_assert!(span_end <= first_arrival + total_service + 1000.0 + 1e-6);
     }
 

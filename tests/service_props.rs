@@ -1,10 +1,10 @@
 //! Property suite for the multi-job tuning service (`pipetune-service`).
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! 1. **Real-service checks** — a Poisson stream of genuine PipeTune jobs
 //!    runs under every policy, pinning the analytic cross-checks (FIFO and
-//!    processor sharing reproduce `simulate_fifo` /
+//!    processor sharing reproduce the oracles `simulate_fifo` /
 //!    `simulate_processor_sharing` within 1e-9 s), work conservation
 //!    (policy-invariant makespan), slot-pool bounds at every event time,
 //!    FIFO ordering, admission control and the single-job degeneration to
@@ -13,17 +13,222 @@
 //!    streams (simultaneous arrivals, zero-service jobs, empty streams
 //!    included) re-checked against the analytic models, with no tuning
 //!    runs in the loop, so hundreds of cases stay cheap.
+//! 3. **Fixed engine cases** — a hand-built six-job stream against the
+//!    oracles, and the scheduling edge cases (simultaneous equal jobs,
+//!    zero-service jobs, multi-server FIFO) with closed-form answers.
+//!
+//! The oracles are closed-form FIFO and processor-sharing queue models
+//! written independently of [`PolicyEngine`]; they exist only here.
 
-use pipetune::{
-    simulate_fifo, simulate_processor_sharing, ExperimentEnv, PipeTune, SharedJob, TunerOptions,
-    TuningOutcome, WorkloadSpec,
-};
-use pipetune_cluster::PoissonArrivals;
+use pipetune::{ExperimentEnv, PipeTune, PipeTuneError, TunerOptions, TuningOutcome, WorkloadSpec};
+use pipetune_cluster::{EventQueue, PoissonArrivals, SimTime};
 use pipetune_service::{
     job_seed, AdmissionControl, JobSubmission, PolicyEngine, SchedulingPolicy, ServiceConfig,
     ServiceOutcome, TuningService,
 };
 use proptest::prelude::*;
+
+// ---- analytic oracles ----
+
+/// One tenant job: arrival time and the service it needs when alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SharedJob {
+    /// Arrival, simulated seconds.
+    arrival_secs: f64,
+    /// Dedicated-cluster service time, simulated seconds.
+    service_secs: f64,
+}
+
+/// Completion record produced by the oracles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SharedCompletion {
+    /// Index into the input job list.
+    job: usize,
+    /// Completion time, simulated seconds.
+    completion_secs: f64,
+    /// Response time (completion − arrival).
+    response_secs: f64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
+    Arrival(usize),
+}
+
+/// Shared input validation: arrivals must be finite and non-negative,
+/// services finite and non-negative. Zero-service jobs are legal — they
+/// complete the instant they arrive (a rejected or trivially warm-started
+/// job) — and an empty job list yields an empty completion list.
+fn validate_jobs(jobs: &[SharedJob]) -> Result<(), PipeTuneError> {
+    for (i, j) in jobs.iter().enumerate() {
+        if !(j.arrival_secs.is_finite() && j.service_secs.is_finite())
+            || j.arrival_secs < 0.0
+            || j.service_secs < 0.0
+        {
+            return Err(PipeTuneError::InvalidConfig {
+                reason: format!("job {i} has invalid arrival/service"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Simulates a FIFO queue served by `servers` identical executors: jobs
+/// start in arrival order as servers free up, each running dedicated (no
+/// slowdown). `servers = 1` is the paper's §5.1 FIFO; more servers model a
+/// cluster split into independent HPT slots.
+///
+/// Returns completions sorted by completion time.
+///
+/// # Errors
+///
+/// Returns [`PipeTuneError::InvalidConfig`] for zero servers or invalid
+/// jobs.
+fn simulate_fifo(
+    jobs: &[SharedJob],
+    servers: usize,
+) -> Result<Vec<SharedCompletion>, PipeTuneError> {
+    if servers == 0 {
+        return Err(PipeTuneError::InvalidConfig { reason: "servers must be positive".into() });
+    }
+    validate_jobs(jobs)?;
+    // FIFO by arrival time (stable on ties by index, so simultaneous
+    // arrivals are served in submission order).
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by(|&a, &b| {
+        jobs[a]
+            .arrival_secs
+            .partial_cmp(&jobs[b].arrival_secs)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    // Server free times in exact f64 seconds. An earlier revision rounded
+    // these to integer microseconds, which drifted completion times by up
+    // to ~5e-7 s per hop — enough to break the 1e-9 cross-check against
+    // the event-driven service scheduler. A linear min-scan keeps the
+    // lowest-index free server on ties, which is deterministic and matches
+    // the service's server tie-break.
+    let mut free = vec![0.0f64; servers];
+    let mut completions = Vec::with_capacity(jobs.len());
+    for id in order {
+        let server = free
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .expect("servers > 0");
+        let start = free[server].max(jobs[id].arrival_secs);
+        let completion = start + jobs[id].service_secs;
+        free[server] = completion;
+        completions.push(SharedCompletion {
+            job: id,
+            completion_secs: completion,
+            response_secs: completion - jobs[id].arrival_secs,
+        });
+    }
+    completions.sort_by(|a, b| {
+        a.completion_secs
+            .partial_cmp(&b.completion_secs)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(completions)
+}
+
+/// Simulates egalitarian processor sharing of the cluster among overlapping
+/// jobs: with `k` active jobs, every job progresses at rate `1/k`.
+///
+/// Returns completions sorted by completion time.
+///
+/// # Errors
+///
+/// Returns [`PipeTuneError::InvalidConfig`] for negative arrivals/services
+/// or non-finite inputs.
+fn simulate_processor_sharing(
+    jobs: &[SharedJob],
+) -> Result<Vec<SharedCompletion>, PipeTuneError> {
+    validate_jobs(jobs)?;
+    let mut queue = EventQueue::new();
+    for (i, j) in jobs.iter().enumerate() {
+        queue.push(SimTime::from_secs_f64(j.arrival_secs), Event::Arrival(i));
+    }
+    // Active set: remaining service per job id.
+    let mut remaining: Vec<Option<f64>> = vec![None; jobs.len()];
+    let mut active = 0usize;
+    let mut now = 0.0f64;
+    let mut completions = Vec::with_capacity(jobs.len());
+
+    // Advance the fluid model to `target`, draining any jobs that finish on
+    // the way (each gets an exact completion instant).
+    fn drain(
+        remaining: &mut [Option<f64>],
+        active: &mut usize,
+        now: &mut f64,
+        target: f64,
+        completions: &mut Vec<SharedCompletion>,
+        jobs: &[SharedJob],
+    ) {
+        while *active > 0 && *now < target {
+            let rate = 1.0 / *active as f64;
+            // Earliest finisher among active jobs.
+            let (next_id, next_rem) = remaining
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| r.map(|v| (i, v)))
+                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("active > 0");
+            let finish_at = *now + next_rem / rate;
+            if finish_at > target {
+                // No completion before the target: progress everyone.
+                let progress = (target - *now) * rate;
+                for r in remaining.iter_mut().flatten() {
+                    *r -= progress;
+                }
+                *now = target;
+                return;
+            }
+            let progress = next_rem;
+            for r in remaining.iter_mut().flatten() {
+                *r -= progress;
+            }
+            remaining[next_id] = None;
+            *active -= 1;
+            *now = finish_at;
+            completions.push(SharedCompletion {
+                job: next_id,
+                completion_secs: finish_at,
+                response_secs: finish_at - jobs[next_id].arrival_secs,
+            });
+        }
+        *now = target.max(*now);
+    }
+
+    while let Some((t, Event::Arrival(id))) = queue.pop() {
+        drain(&mut remaining, &mut active, &mut now, t.as_secs_f64(), &mut completions, jobs);
+        remaining[id] = Some(jobs[id].service_secs);
+        active += 1;
+    }
+    drain(&mut remaining, &mut active, &mut now, f64::INFINITY, &mut completions, jobs);
+    Ok(completions)
+}
+
+#[test]
+fn oracles_validate_their_input() {
+    assert!(simulate_fifo(&[], 0).is_err(), "zero servers");
+    assert!(simulate_fifo(&[], 3).unwrap().is_empty());
+    assert!(simulate_processor_sharing(&[]).unwrap().is_empty());
+    let bad = [
+        SharedJob { arrival_secs: -1.0, service_secs: 1.0 },
+        SharedJob { arrival_secs: 0.0, service_secs: -0.5 },
+        SharedJob { arrival_secs: 0.0, service_secs: f64::NAN },
+        SharedJob { arrival_secs: f64::INFINITY, service_secs: 1.0 },
+    ];
+    for job in bad {
+        assert!(simulate_fifo(&[job], 1).is_err(), "{job:?}");
+        assert!(simulate_processor_sharing(&[job]).is_err(), "{job:?}");
+    }
+}
+
+// ---- real-service checks ----
 
 const JOBS: usize = 4;
 const ARRIVAL_RATE: f64 = 1.0 / 1500.0;
@@ -321,5 +526,117 @@ proptest! {
         });
         let completion_order: Vec<usize> = done.iter().map(|(job, _, _)| *job).collect();
         prop_assert_eq!(completion_order, arrival_order);
+    }
+}
+
+// ---- fixed engine cases ----
+
+/// Engine completion instant of `job` in a [`run_engine`] result.
+fn completion_of(done: &[(usize, f64, f64)], job: usize) -> f64 {
+    done.iter().find(|(j, _, _)| *j == job).expect("job completed").1
+}
+
+fn jobs_from(pairs: &[(f64, f64)]) -> Vec<SharedJob> {
+    pairs
+        .iter()
+        .map(|&(arrival_secs, service_secs)| SharedJob { arrival_secs, service_secs })
+        .collect()
+}
+
+#[test]
+fn fixed_six_job_stream_matches_both_oracles() {
+    // Simultaneous arrivals, a zero-service job and an idle gap in one
+    // hand-built stream (micro-aligned, so the PS oracle's SimTime arrival
+    // quantisation is a no-op).
+    let jobs = jobs_from(&[
+        (0.0, 13.25),
+        (2.5, 4.0),
+        (2.5, 0.75),
+        (7.125, 9.5),
+        (31.0, 0.0),
+        (40.5, 6.25),
+    ]);
+    let cases = [1usize, 2, 3]
+        .map(|servers| (SchedulingPolicy::Fifo, servers, simulate_fifo(&jobs, servers).unwrap()));
+    let ps = (SchedulingPolicy::ProcessorSharing, 1, simulate_processor_sharing(&jobs).unwrap());
+    for (policy, servers, analytic) in cases.into_iter().chain([ps]) {
+        let engine = run_engine(policy, servers, &jobs);
+        assert_eq!(engine.len(), analytic.len());
+        for a in &analytic {
+            let at = completion_of(&engine, a.job);
+            assert!(
+                (at - a.completion_secs).abs() < 1e-9,
+                "{policy:?} servers={servers} job={} engine={at} analytic={}",
+                a.job,
+                a.completion_secs
+            );
+        }
+    }
+}
+
+#[test]
+fn simultaneous_equal_jobs_share_from_the_first_instant() {
+    // Two equal jobs together under PS take twice as long.
+    let two = jobs_from(&[(0.0, 10.0), (0.0, 10.0)]);
+    let done = run_engine(SchedulingPolicy::ProcessorSharing, 1, &two);
+    assert!(done.iter().all(|(_, at, _)| (at - 20.0).abs() < 1e-9), "{done:?}");
+    // Three simultaneous jobs with services 3/6/9 from t = 2: completions
+    // at 2 + 3·3 = 11, 11 + 2·3 = 17 and 17 + 3 = 20.
+    let three = jobs_from(&[(2.0, 3.0), (2.0, 6.0), (2.0, 9.0)]);
+    let done = run_engine(SchedulingPolicy::ProcessorSharing, 1, &three);
+    for (job, expected) in [(0, 11.0), (1, 17.0), (2, 20.0)] {
+        assert!((completion_of(&done, job) - expected).abs() < 1e-9, "{done:?}");
+    }
+    // FIFO serves simultaneous arrivals in submission order.
+    let same_instant = jobs_from(&[(1.0, 2.0), (1.0, 3.0), (1.0, 1.0)]);
+    let fifo = run_engine(SchedulingPolicy::Fifo, 1, &same_instant);
+    assert_eq!(fifo.iter().map(|(job, _, _)| *job).collect::<Vec<_>>(), [0, 1, 2]);
+    for (job, expected) in [(0, 3.0), (1, 6.0), (2, 7.0)] {
+        assert_eq!(completion_of(&fifo, job), expected);
+    }
+}
+
+#[test]
+fn zero_service_jobs_complete_on_arrival_without_delaying_others() {
+    let jobs = jobs_from(&[(0.0, 10.0), (4.0, 0.0)]);
+    let fifo = run_engine(SchedulingPolicy::Fifo, 2, &jobs);
+    assert_eq!(completion_of(&fifo, 1), 4.0);
+    let ps = run_engine(SchedulingPolicy::ProcessorSharing, 1, &jobs);
+    assert_eq!(completion_of(&ps, 1), 4.0);
+    // The zero-service visitor leaves no trace on the long job.
+    assert!((completion_of(&ps, 0) - 10.0).abs() < 1e-9, "{ps:?}");
+    // An all-zero stream completes everything at its arrival instant.
+    let zeros = jobs_from(&[(1.0, 0.0), (1.0, 0.0)]);
+    for policy in SchedulingPolicy::ALL {
+        let done = run_engine(policy, 1, &zeros);
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|&(_, at, start)| at == 1.0 && start == 1.0), "{policy:?}");
+    }
+}
+
+#[test]
+fn extra_fifo_servers_absorb_the_queue() {
+    let jobs = jobs_from(&[(0.0, 10.0), (1.0, 2.0)]);
+    let one = run_engine(SchedulingPolicy::Fifo, 1, &jobs);
+    let two = run_engine(SchedulingPolicy::Fifo, 2, &jobs);
+    // With one server job 1 queues behind job 0; a second server removes
+    // the queueing delay.
+    assert!((completion_of(&one, 1) - 12.0).abs() < 1e-9, "{one:?}");
+    assert!((completion_of(&two, 1) - 3.0).abs() < 1e-9, "{two:?}");
+    assert!((completion_of(&two, 0) - 10.0).abs() < 1e-9, "{two:?}");
+}
+
+#[test]
+fn fifo_keeps_sub_microsecond_services_exact() {
+    // A chain of back-to-back sub-microsecond jobs: integer-microsecond
+    // rounding would drift the chain; exact f64 arithmetic reproduces the
+    // running sum.
+    let service = 3e-7;
+    let jobs = jobs_from(&[(0.0, service); 100]);
+    let done = run_engine(SchedulingPolicy::Fifo, 1, &jobs);
+    let mut expected = 0.0f64;
+    for (i, (_, at, _)) in done.iter().enumerate() {
+        expected += service;
+        assert!((at - expected).abs() < 1e-12, "job {i}: {at} vs {expected}");
     }
 }

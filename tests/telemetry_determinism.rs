@@ -6,9 +6,16 @@
 //!    order;
 //! 2. a disabled [`TelemetryHandle`] is not just cheap but *invisible*: the
 //!    tuning outcome is bit-identical whether telemetry is off or on.
+//!
+//! It also pins the handle vocabulary shared by the telemetry, monitor and
+//! epoch-cache handles.
 
-use pipetune::{observe, ExperimentEnv, PipeTune, TunerOptions, TuningOutcome, WorkloadSpec};
+use pipetune::{
+    observe, EpochCacheConfig, EpochCacheHandle, ExperimentEnv, PipeTune, TunerOptions,
+    TuningOutcome, WorkloadSpec,
+};
 use pipetune_cluster::{observe as cluster_observe, FaultPlan};
+use pipetune_monitor::{MonitorConfig, MonitorHandle};
 use pipetune_telemetry::{EventKind, SpanKind, TelemetryHandle, TelemetrySnapshot};
 
 /// Runs two PipeTune jobs (the second exercises ground-truth reuse) under a
@@ -80,6 +87,20 @@ fn disabled_handle_leaves_tuning_outcome_bit_identical() {
         assert_eq!(a.wall_secs.to_bits(), b.wall_secs.to_bits());
         assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
     }
+}
+
+#[test]
+fn handle_trio_exposes_uniform_states() {
+    // The unified vocabulary: every handle has `disabled()`, an
+    // `enabled()`/`with_config` pair, and `is_enabled()`.
+    assert!(!TelemetryHandle::disabled().is_enabled());
+    assert!(TelemetryHandle::enabled().is_enabled());
+    assert!(!MonitorHandle::disabled().is_enabled());
+    assert!(MonitorHandle::enabled().is_enabled());
+    assert!(MonitorHandle::with_config(&MonitorConfig::standard()).is_enabled());
+    assert!(!EpochCacheHandle::disabled().is_enabled());
+    assert!(EpochCacheHandle::enabled().is_enabled());
+    assert!(EpochCacheHandle::with_config(EpochCacheConfig::default()).is_enabled());
 }
 
 #[test]
