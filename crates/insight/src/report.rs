@@ -4,16 +4,15 @@
 //! A [`TraceReport`] is a pure function of a validated
 //! [`TelemetrySnapshot`]: per-phase time attribution, per-rung slot
 //! utilization, straggler ranking and the critical path through each
-//! tuning run. Duration percentiles are computed by replaying the trace
-//! into the embedded [`pipetune_tsdb`] store and querying its
-//! [`Aggregate::P50`]/[`Aggregate::P95`]/[`Aggregate::P99`] selectors —
-//! the same path a real InfluxDB deployment would serve.
+//! tuning run. Duration percentiles are the nearest-rank
+//! [`Aggregate::P50`]/[`Aggregate::P95`]/[`Aggregate::P99`] selectors of
+//! the embedded [`pipetune_tsdb`], applied to the durations in span order.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pipetune_telemetry::{AttrValue, Attrs, EventKind, Span, SpanKind, TelemetrySnapshot, TraceError};
-use pipetune_tsdb::{Aggregate, Database, Point, Query};
+use pipetune_tsdb::Aggregate;
 
 /// Looks up an attribute by key (first occurrence wins).
 fn attr<'a>(attrs: &'a Attrs, key: &str) -> Option<&'a AttrValue> {
@@ -94,7 +93,8 @@ pub struct Straggler {
 pub struct RungReport {
     /// Scheduler round number (the rung's `round` attribute).
     pub round: u64,
-    /// Wall-clock duration of the round, seconds.
+    /// Duration of the round's span on the simulated trace clock, seconds.
+    /// Despite the name this is not real (host) wall time.
     pub wall_secs: f64,
     /// Number of trial spans executed in the round.
     pub trials: usize,
@@ -121,7 +121,8 @@ pub struct RunReport {
     pub seed: Option<u64>,
     /// Parallel trial slots the run was scheduled onto.
     pub slots: u64,
-    /// Total wall-clock time of the run, seconds.
+    /// Duration of the run's root span on the simulated trace clock,
+    /// seconds. Despite the name this is not real (host) wall time.
     pub wall_secs: f64,
     /// Trial spans belonging to the run.
     pub trials: usize,
@@ -268,8 +269,8 @@ impl TraceReport {
             let member = |i: usize| root_of[i] == Some(root);
             let slots = attr_f64(&root_span.attrs, "parallel_slots").unwrap_or(1.0).max(1.0);
 
-            // Wall time: the root's own extent, falling back to the last
-            // child end on the shared clock if the root was left open.
+            // The root's own extent on the simulated clock, falling back to
+            // the last child end on the shared clock if the root was left open.
             let wall_secs = duration(root_span).unwrap_or_else(|| {
                 spans
                     .iter()
@@ -375,23 +376,13 @@ impl TraceReport {
             });
             stragglers.truncate(RunReport::MAX_STRAGGLERS);
 
-            // Percentiles through the tsdb: replay durations as points and
-            // let the store's nearest-rank selectors answer.
-            let db = Database::new();
-            for (idx, trial) in trials.iter().enumerate() {
-                let _ = db.write(
-                    Point::new("trial_secs", idx as u64).field("secs", trial.duration_secs),
-                );
-            }
-            let mut epoch_idx = 0u64;
-            for (i, span) in spans.iter().enumerate() {
-                if member(i) && span.kind == SpanKind::Epoch {
-                    if let Some(d) = duration(span) {
-                        let _ = db.write(Point::new("epoch_secs", epoch_idx).field("secs", d));
-                        epoch_idx += 1;
-                    }
-                }
-            }
+            let trial_secs: Vec<f64> = trials.iter().map(|t| t.duration_secs).collect();
+            let epoch_secs: Vec<f64> = spans
+                .iter()
+                .enumerate()
+                .filter(|&(i, span)| member(i) && span.kind == SpanKind::Epoch)
+                .filter_map(|(_, span)| duration(span))
+                .collect();
 
             runs.push(RunReport {
                 label: root_span.label.clone(),
@@ -408,8 +399,8 @@ impl TraceReport {
                 cache_misses,
                 cache_saved_secs,
                 stragglers,
-                trial_stats: duration_stats(&db, "trial_secs"),
-                epoch_stats: duration_stats(&db, "epoch_secs"),
+                trial_stats: duration_stats(&trial_secs),
+                epoch_stats: duration_stats(&epoch_secs),
             });
         }
         Ok(TraceReport { runs, incidents: IncidentSummary::from_snapshot(snapshot) })
@@ -559,9 +550,8 @@ fn percent(part: f64, whole: f64) -> f64 {
     }
 }
 
-fn duration_stats(db: &Database, measurement: &str) -> Option<DurationStats> {
-    let query = Query::measurement(measurement);
-    let get = |agg| db.aggregate(&query, "secs", agg).ok().flatten();
+fn duration_stats(secs: &[f64]) -> Option<DurationStats> {
+    let get = |agg: Aggregate| agg.apply(secs);
     Some(DurationStats {
         p50_secs: get(Aggregate::P50)?,
         p95_secs: get(Aggregate::P95)?,

@@ -7,8 +7,8 @@
 //! streaming i-k-j kernel. Blocking only changes *which other* elements are
 //! computed between two updates of the same element, never the sequence of
 //! updates one element sees, so results are bit-identical to the naive
-//! kernel for every shape (the `gemm_determinism` suite pins this against a
-//! frozen copy of the pre-blocking kernel).
+//! kernel for every shape (the unit tests below pin this against
+//! `naive_gemm`, a frozen test-only copy of the pre-blocking kernel).
 //!
 //! Blocking scheme:
 //!
@@ -36,7 +36,7 @@ const KC: usize = 256;
 const NC: usize = 1024;
 /// Problems with fewer multiply-adds than this run the direct streaming
 /// kernel; packing overhead only amortises above it.
-const DIRECT_FLOP_LIMIT: usize = 64 * 64 * 64;
+pub(crate) const DIRECT_FLOP_LIMIT: usize = 64 * 64 * 64;
 
 /// Accumulates `out += A · B` for row-major `A (m×k)`, `B (k×n)`,
 /// `out (m×n)`.
@@ -277,6 +277,26 @@ fn gemm_direct(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
     }
 }
 
+/// Frozen copy of the pre-blocking streaming kernel: the bit-identity
+/// reference for every GEMM-backed kernel's tests. Do not "improve" it —
+/// [`gemm_direct`] is live code and may change; this copy may not.
+#[cfg(test)]
+pub(crate) fn naive_gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        let out_row = &mut out[i * n..(i + 1) * n];
+        for p in 0..k {
+            let aip = a[i * k + p];
+            if aip == 0.0 {
+                continue;
+            }
+            let b_row = &b[p * n..(p + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += aip * bv;
+            }
+        }
+    }
+}
+
 /// Writes `src`ᵀ into `dst` for row-major `src (rows×cols)`;
 /// `dst` receives the `cols×rows` transpose. Scratch-friendly transpose
 /// used by the fused `matmul_tn`/`matmul_nt` variants.
@@ -294,12 +314,14 @@ pub(crate) fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: us
 mod tests {
     use super::*;
 
-    /// Frozen copy of the pre-blocking kernel: the reference for the
-    /// bit-identity contract.
     fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
-        gemm_direct(a, b, &mut out, m, k, n);
+        naive_gemm(a, b, &mut out, m, k, n);
         out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn pattern(len: usize, sparsity: usize) -> Vec<f32> {
@@ -335,10 +357,33 @@ mod tests {
             let want = reference(&a, &b, m, k, n);
             let mut got = vec![0.0f32; m * n];
             gemm(&a, &b, &mut got, m, k, n, &mut ws);
-            assert!(
-                want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "bit mismatch at {m}x{k}x{n} sparsity {sparsity}"
-            );
+            assert_eq!(bits(&want), bits(&got), "bit mismatch at {m}x{k}x{n} sparsity {sparsity}");
+        }
+    }
+
+    /// The zero-skip rule is observable: a product whose `A` element is
+    /// ±0.0 is skipped, so ±∞/NaN in the matching `B` row never reaches
+    /// the output. Pinned on a direct size and on a blocked size whose
+    /// shape has full register tiles, a column tail, a row tail and two
+    /// `KC` panels.
+    #[test]
+    fn zero_in_a_skips_non_finite_b() {
+        let mut ws = Workspace::new();
+        for &(m, k, n, blocked) in &[(3, 7, 5, false), (5, 300, 200, true)] {
+            assert_eq!(m * k * n > DIRECT_FLOP_LIMIT, blocked, "{m}x{k}x{n} must take its path");
+            let mut a = pattern(m * k, 0);
+            let mut b = pattern(k * n, 0);
+            for (p, poison) in [(0, f32::INFINITY), (k / 2, f32::NAN), (k - 1, f32::NEG_INFINITY)] {
+                for i in 0..m {
+                    a[i * k + p] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                b[p * n..(p + 1) * n].fill(poison);
+            }
+            let want = reference(&a, &b, m, k, n);
+            assert!(want.iter().all(|v| v.is_finite()), "reference must skip ±0.0 products");
+            let mut got = vec![0.0f32; m * n];
+            gemm(&a, &b, &mut got, m, k, n, &mut ws);
+            assert_eq!(bits(&want), bits(&got), "zero-skip diverged at {m}x{k}x{n}");
         }
     }
 

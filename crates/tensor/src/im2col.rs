@@ -165,6 +165,7 @@ pub fn conv2d_gemm_with(
 mod tests {
     use super::*;
     use crate::conv2d;
+    use crate::gemm::{naive_gemm, DIRECT_FLOP_LIMIT};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -190,6 +191,44 @@ mod tests {
         for (a, g) in direct.data().iter().zip(gemm.data()) {
             assert!((a - g).abs() < 1e-4, "{a} vs {g}");
         }
+    }
+
+    /// `conv2d_gemm_with` on a shape above the direct-GEMM limit must
+    /// reproduce, bit for bit, im2col + the frozen naive GEMM + bias and
+    /// the `[n, cout, oh, ow]` layout change. Half the inputs are zero
+    /// (post-ReLU) so the blocked kernel's zero-skip runs too.
+    #[test]
+    fn gemm_conv_matches_frozen_reference_bitwise() {
+        let (n, cin, cout, ks, hw) = (2, 8, 16, 3, 16);
+        let mut rng = StdRng::seed_from_u64(6);
+        let x = Tensor::randn(&[n, cin, hw, hw], 1.0, &mut rng).map(|v| v.max(0.0));
+        let w = Tensor::randn(&[cout, cin, ks, ks], 0.5, &mut rng);
+        let bias = Tensor::randn(&[cout], 0.1, &mut rng);
+        let (oh, k) = (hw - ks + 1, cin * ks * ks);
+        let rows = n * oh * oh;
+        assert!(rows * k * cout > DIRECT_FLOP_LIMIT, "shape must take the blocked path");
+
+        let cols = im2col(&x, ks, ks).unwrap();
+        let mut wmat = vec![0.0f32; k * cout];
+        for r in 0..cout {
+            for c in 0..k {
+                wmat[c * cout + r] = w.data()[r * k + c];
+            }
+        }
+        let mut prod = vec![0.0f32; rows * cout];
+        naive_gemm(cols.data(), &wmat, &mut prod, rows, k, cout);
+        let mut want = vec![0.0f32; rows * cout];
+        for (r, row) in prod.chunks_exact(cout).enumerate() {
+            let (b, pixel) = (r / (oh * oh), r % (oh * oh));
+            for (oc, (&v, &bv)) in row.iter().zip(bias.data()).enumerate() {
+                want[(b * cout + oc) * oh * oh + pixel] = v + bv;
+            }
+        }
+
+        let got = conv2d_gemm_with(&x, &w, &bias, &mut Workspace::new()).unwrap();
+        assert_eq!(got.shape().dims(), &[n, cout, oh, oh]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&want), bits(got.data()));
     }
 
     #[test]

@@ -85,40 +85,6 @@ impl Database {
         Ok(agg.apply(&values))
     }
 
-    /// Aggregates `field` into fixed time windows of `window_us`
-    /// microseconds (Influx's `GROUP BY time(...)`). Returns
-    /// `(window_start_us, value)` pairs for non-empty windows, in time
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TsdbError::InvalidPoint`] when `window_us` is zero.
-    pub fn aggregate_by_time(
-        &self,
-        query: &Query,
-        field: &str,
-        agg: Aggregate,
-        window_us: u64,
-    ) -> Result<Vec<(u64, f64)>, TsdbError> {
-        if window_us == 0 {
-            return Err(TsdbError::InvalidPoint {
-                reason: "window must be positive".into(),
-            });
-        }
-        let mut buckets: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
-        let points = self.points.read().unwrap_or_else(PoisonError::into_inner);
-        for p in points.iter().filter(|p| query.matches(p)) {
-            if let Some(v) = p.field_value(field) {
-                let start = p.timestamp_us() / window_us * window_us;
-                buckets.entry(start).or_default().push(v);
-            }
-        }
-        Ok(buckets
-            .into_iter()
-            .filter_map(|(start, values)| agg.apply(&values).map(|v| (start, v)))
-            .collect())
-    }
-
     /// Exports every stored point as Influx line protocol, one per line.
     pub fn to_line_protocol(&self) -> String {
         self.points
@@ -264,17 +230,6 @@ mod tests {
         let db = Database::new();
         assert!(db.write(Point::new("m", 0)).is_err());
         assert!(db.is_empty());
-    }
-
-    #[test]
-    fn aggregate_by_time_groups_into_windows() {
-        let db = sample_db(); // timestamps 0, 1000, ..., 9000
-        let q = Query::measurement("epoch");
-        let windows =
-            db.aggregate_by_time(&q, "runtime", Aggregate::Sum, 5000).unwrap();
-        // Window [0,5000): i=0..4 → sum 10; window [5000,10000): i=5..9 → 35.
-        assert_eq!(windows, vec![(0, 10.0), (5000, 35.0)]);
-        assert!(db.aggregate_by_time(&q, "runtime", Aggregate::Sum, 0).is_err());
     }
 
     #[test]
